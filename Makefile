@@ -49,10 +49,11 @@ tier2-durability:
 
 # Tier-2 wire slice: the v3 wire path under the race detector — binary
 # framing, pipelining, the cross-version compat matrix, the bounded worker
-# pool, and the pooled text reader.
+# pool, the pooled text reader, and write coalescing (lost wakeups, write
+# stalls, byte counters, retained buffer bounds).
 .PHONY: tier2-wire
 tier2-wire:
-	go test -race -run 'Compat|Pipeline|Binary|Negotiat|WorkPool|WorkQueue|ConnReader' ./internal/wire/ ./internal/server/
+	go test -race -run 'Compat|Pipeline|Binary|Negotiat|WorkPool|WorkQueue|ConnReader|Coalesce|WriteStall|LostWakeup|BytesOut|Retained' ./internal/wire/ ./internal/server/
 
 # Tier-2 balance slice: the pluggable placement seam under the race detector —
 # the policy unit tests (JSQ sampling, rebalancer hysteresis/budget/diversion),

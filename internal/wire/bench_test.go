@@ -79,3 +79,7 @@ func BenchmarkBurstTextB1(b *testing.B)    { benchBurst(b, true, 1, 32) }
 func BenchmarkBurstTextB16(b *testing.B)   { benchBurst(b, true, 16, 32) }
 func BenchmarkBurstBinaryB1(b *testing.B)  { benchBurst(b, false, 1, 32) }
 func BenchmarkBurstBinaryB16(b *testing.B) { benchBurst(b, false, 16, 32) }
+
+// BenchmarkBurstBinaryInflight1 is the sequential caller's rung: one request
+// in flight at a time, as a request-response client sees the wire path.
+func BenchmarkBurstBinaryInflight1(b *testing.B) { benchBurst(b, false, 1, 1) }

@@ -67,8 +67,8 @@ var wireCRC = crc32.MakeTable(crc32.IEEE)
 // taxonomy twin; ErrFrameCorrupt means the CRC trailer did not match — the
 // stream cannot be resynchronized and the connection must close.
 var (
-	ErrFrameTooLarge = fmt.Errorf("wire: frame exceeds %d bytes: %w", MaxLine, mailerr.ErrOversized)
-	ErrFrameCorrupt  = errors.New("wire: frame CRC mismatch")
+	ErrFrameTooLarge  = fmt.Errorf("wire: frame exceeds %d bytes: %w", MaxLine, mailerr.ErrOversized)
+	ErrFrameCorrupt   = errors.New("wire: frame CRC mismatch")
 	errFrameTruncated = errors.New("wire: truncated frame")
 	errBadPayload     = errors.New("wire: malformed binary payload")
 )
@@ -487,7 +487,13 @@ var frameBufPool = sync.Pool{New: func() any {
 
 func getFrameBuf() *[]byte { return frameBufPool.Get().(*[]byte) }
 
+// putFrameBuf returns a buffer to the pool, unless it grew past
+// maxRetainedBuf: a pooled 1 MiB getmail frame would stay resident for the
+// life of the process.
 func putFrameBuf(p *[]byte) {
+	if cap(*p) > maxRetainedBuf {
+		return
+	}
 	*p = (*p)[:0]
 	frameBufPool.Put(p)
 }
@@ -522,6 +528,9 @@ func newConnReader(r io.Reader) *connReader {
 func (cr *connReader) release() {
 	cr.br.Reset(nil)
 	cr.line = cr.line[:0]
+	if cap(cr.line) > maxRetainedBuf {
+		cr.line = nil
+	}
 	connReaderPool.Put(cr)
 }
 

@@ -42,7 +42,17 @@ type Pipeline struct {
 	sem    chan struct{} // one slot per in-flight request
 	expect chan struct{} // one token per successfully written request
 
-	wmu sync.Mutex // serializes writes; fifo append happens under it
+	// Do encodes into out and registers the future under wmu, so buffer
+	// order is registration order — which is what FIFO matching in text
+	// mode relies on. The writer goroutine takes the whole buffer per
+	// wakeup and sends it in one Write.
+	wmu        sync.Mutex
+	out        []byte        // encoded requests not yet taken by the writer
+	nout       int           // requests in out
+	spare      []byte        // the writer's last flushed buffer, reused as out
+	stopping   bool          // Close asked the writer to flush and exit
+	wake       chan struct{} // cap 1: out went non-empty, or stop was asked
+	writerDone chan struct{}
 
 	mu      sync.Mutex
 	pending map[uint32]*Future // binary: tag → future
@@ -97,15 +107,20 @@ func (c *Client) Pipeline(ctx context.Context, maxInflight int) (*Pipeline, erro
 		binary:     c.binOn,
 		sem:        make(chan struct{}, maxInflight),
 		expect:     make(chan struct{}, maxInflight),
+		wake:       make(chan struct{}, 1),
+		writerDone: make(chan struct{}),
 		pending:    make(map[uint32]*Future),
 		readerDone: make(chan struct{}),
 	}
+	go p.writer()
 	go p.reader()
 	return p, nil
 }
 
 // Do pipelines one request. It blocks only when maxInflight requests are
 // already outstanding (the pipeline's backpressure), then returns a Future.
+// The request is buffered for the pipeline's writer goroutine, which sends
+// every request buffered by then in one write.
 func (p *Pipeline) Do(req Request) *Future {
 	f := &Future{done: make(chan struct{})}
 	if err := p.broken(); err != nil {
@@ -115,30 +130,27 @@ func (p *Pipeline) Do(req Request) *Future {
 	}
 	p.sem <- struct{}{} // in-flight slot; released when the future completes
 	p.wmu.Lock()
+	start := len(p.out)
 	var (
-		frame []byte
-		bp    *[]byte
 		encErr error
 		tag    uint32
 	)
 	if p.binary {
 		tag = p.c.nextTag()
-		bp = getFrameBuf()
-		frame, encErr = AppendBinaryRequest((*bp)[:0], req, tag)
+		p.out, encErr = AppendBinaryRequest(p.out, req, tag)
 	} else {
-		frame, encErr = EncodeRequest(req)
+		var line []byte
+		if line, encErr = EncodeRequest(req); encErr == nil {
+			p.out = append(p.out, line...)
+		}
 	}
 	if encErr != nil {
-		if bp != nil {
-			putFrameBuf(bp)
-		}
 		p.wmu.Unlock()
 		p.finish(f, Response{}, encErr) // this request never touched the wire
 		return f
 	}
-	// Register before the bytes go out so a fast response can never beat the
-	// bookkeeping; registration order under wmu is write order, which is
-	// what FIFO matching in text mode relies on.
+	// Register before the bytes can go out so a fast response can never beat
+	// the bookkeeping.
 	p.mu.Lock()
 	if p.werr != nil || p.closed {
 		err := p.werr
@@ -146,9 +158,7 @@ func (p *Pipeline) Do(req Request) *Future {
 			err = errPipelineClosed
 		}
 		p.mu.Unlock()
-		if bp != nil {
-			putFrameBuf(bp)
-		}
+		p.out = p.out[:start]
 		p.wmu.Unlock()
 		p.finish(f, Response{}, err)
 		return f
@@ -159,23 +169,60 @@ func (p *Pipeline) Do(req Request) *Future {
 		p.fifo = append(p.fifo, f)
 	}
 	p.mu.Unlock()
-	if t := p.c.opts.Timeout; t > 0 {
-		_ = p.c.conn.SetWriteDeadline(time.Now().Add(t))
-	}
-	_, werr := p.c.conn.Write(frame)
-	if bp != nil {
-		*bp = frame
-		putFrameBuf(bp)
+	p.nout++
+	if start == 0 {
+		p.signal()
 	}
 	p.wmu.Unlock()
-	if werr != nil {
-		// Mid-stream write failure: the connection's framing state is gone,
-		// so everything in flight (including f, already registered) fails.
-		p.failAll(werr)
-		return f
-	}
-	p.expect <- struct{}{}
 	return f
+}
+
+// signal wakes the writer unless a wakeup is already pending. Callers hold
+// wmu, so a wakeup sent when out goes non-empty can never be lost: the
+// writer empties out only under wmu, after taking a token.
+func (p *Pipeline) signal() {
+	select {
+	case p.wake <- struct{}{}:
+	default:
+	}
+}
+
+// writer is the pipeline's only socket writer. Per wakeup it takes every
+// buffered request, writes them in one call, and then passes the reader one
+// expect token per request written. A failed write fails every registered
+// future (the stream has no request boundaries left to resynchronize on).
+// It exits after Close's stop request, having flushed what was buffered.
+func (p *Pipeline) writer() {
+	defer close(p.writerDone)
+	for range p.wake {
+		p.wmu.Lock()
+		buf, n := p.out, p.nout
+		p.out, p.spare, p.nout = p.spare, nil, 0
+		stop := p.stopping
+		p.wmu.Unlock()
+		if n > 0 && p.stickyErr() == nil {
+			if t := p.c.opts.Timeout; t > 0 {
+				_ = p.c.conn.SetWriteDeadline(time.Now().Add(t))
+			}
+			if _, err := p.c.conn.Write(buf); err != nil {
+				p.failAll(err)
+			} else {
+				// Never blocks: each token stands for a registered request
+				// holding one of the maxInflight slots expect is sized to.
+				for i := 0; i < n; i++ {
+					p.expect <- struct{}{}
+				}
+			}
+		}
+		p.wmu.Lock()
+		if cap(buf) <= maxRetainedBuf {
+			p.spare = buf[:0]
+		}
+		p.wmu.Unlock()
+		if stop {
+			return
+		}
+	}
 }
 
 // Submit pipelines one submit request.
@@ -190,28 +237,40 @@ func (p *Pipeline) SubmitBatch(from string, msgs []BatchMsg) *Future {
 	return p.Do(Request{Op: "tbatch", From: from, Msgs: msgs})
 }
 
-// Close waits for every in-flight request to complete, stops the response
-// reader, and returns the pipeline's sticky transport error, if any (in
-// which case the underlying connection is dropped so the Client's next use
-// reconnects). No Do may be issued concurrently with or after Close.
+// Close sends every buffered request, waits for every in-flight request to
+// complete, stops the writer and the response reader, and returns the
+// pipeline's sticky transport error, if any (in which case the underlying
+// connection is dropped so the Client's next use reconnects). A Do issued
+// after Close fails with errPipelineClosed.
 func (p *Pipeline) Close() error {
 	p.mu.Lock()
 	already := p.closed
 	p.closed = true
 	p.mu.Unlock()
 	if !already {
+		// No Do can register from here on, so once the writer has flushed
+		// and exited no expect token can follow the close.
+		p.wmu.Lock()
+		p.stopping = true
+		p.signal()
+		p.wmu.Unlock()
+		<-p.writerDone
 		close(p.expect)
 	}
 	<-p.readerDone
-	p.mu.Lock()
-	err := p.werr
-	p.mu.Unlock()
-	if err != nil {
+	if err := p.stickyErr(); err != nil {
 		p.c.drop()
 		return err
 	}
 	_ = p.c.conn.SetReadDeadline(time.Time{})
 	return nil
+}
+
+// stickyErr returns the pipeline's latched transport failure, if any.
+func (p *Pipeline) stickyErr() error {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.werr
 }
 
 // broken returns the sticky error, or closure, if the pipeline cannot

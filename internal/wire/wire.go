@@ -36,12 +36,16 @@
 // unchanged: the negotiated version is min(client, server) and the binary
 // field is ignored by servers that predate it.
 //
-// Server side, connections do not get a handler goroutine each. A reader
-// goroutine per connection decodes requests and enqueues them on a
+// Server side, requests do not execute on a goroutine per connection. A
+// reader goroutine per connection decodes requests and enqueues them on a
 // per-connection FIFO queue drained by a bounded worker pool
 // (internal/server.WorkPool, size ServerConfig.WireWorkers), preserving
 // per-connection order; a full queue blocks the reader, which is the
-// transport's backpressure (see DESIGN.md §10).
+// transport's backpressure. Workers do not write to the socket either: each
+// appends its encoded response to the connection's output buffer, and a
+// writer goroutine per connection hands everything buffered to the socket
+// in one write, so a backlog of responses costs one write(2), not one per
+// frame (see DESIGN.md §10).
 //
 // The status result is a versioned StatusSnapshot: per-server rows plus the
 // cluster's full instrument set — counters, gauges, and per-stage latency
@@ -88,10 +92,11 @@ const (
 	protoQuery  = 3 // query verb (sketch-pruned content search)
 )
 
-// writeStallTimeout bounds one response write. A peer that stops reading
-// cannot wedge a pool worker forever: the write times out, the connection is
-// closed, and the worker moves on.
-const writeStallTimeout = 30 * time.Second
+// writeStallTimeout bounds one socket write of a connection's buffered
+// responses. A peer that stops reading cannot wedge the connection forever:
+// the write times out, the connection is closed, and its waiting workers
+// move on. A server reads it once, at construction; tests shorten it.
+var writeStallTimeout = 30 * time.Second
 
 // Request is the client→server frame.
 type Request struct {
@@ -248,13 +253,14 @@ type Server struct {
 	maxProto   int
 	termIndex  bool // cluster runs the term index; query verb is servable
 
-	bytesIn   *obs.Counter
-	bytesOut  *obs.Counter
-	decodeLat *obs.Histogram
+	bytesIn    *obs.Counter
+	bytesOut   *obs.Counter
+	decodeLat  *obs.Histogram
+	writeStall time.Duration
 
 	ln     net.Listener
 	mu     sync.Mutex
-	conns  map[net.Conn]struct{}
+	conns  map[net.Conn]*connState
 	wg     sync.WaitGroup
 	closed bool
 
@@ -317,8 +323,9 @@ func NewServerWith(addr string, serverNames []string, cfg ServerConfig) (*Server
 		bytesIn:    reg.Counter("wire_bytes_in"),
 		bytesOut:   reg.Counter("wire_bytes_out"),
 		decodeLat:  reg.Histogram("lat_wire_decode", nil),
+		writeStall: writeStallTimeout,
 		ln:         ln,
-		conns:      make(map[net.Conn]struct{}),
+		conns:      make(map[net.Conn]*connState),
 		agents:     make(map[names.Name]*livenet.Agent),
 	}
 	s.wg.Add(1)
@@ -365,10 +372,11 @@ func (s *Server) acceptLoop() {
 			_ = conn.Close()
 			return
 		}
-		s.conns[conn] = struct{}{}
+		st := newConnState(s, conn)
+		s.conns[conn] = st
 		s.wg.Add(1)
 		s.mu.Unlock()
-		go s.handle(conn)
+		go s.handle(st)
 	}
 }
 
@@ -376,29 +384,129 @@ func (s *Server) acceptLoop() {
 // half. ver and binary are written only by hello work items; the reader
 // observes the framing switch through the hello's completion channel and
 // workers through the queue's own ordering, so no extra lock is needed for
-// them. wmu serializes the rare cross-goroutine writes (a reader-side
-// framing error racing a worker's response).
+// them.
+//
+// Responses are not written to the socket by the goroutine that produced
+// them. write appends the encoded frame to out under wmu and wakes the
+// connection's writer goroutine, which takes the whole buffer and hands it
+// to the socket in one Write — so a backlog of responses costs one write(2),
+// not one per frame. wmu guards out, spare and stopped; the reader (framing
+// errors) and the workers (responses) both append under it.
 type connState struct {
 	srv    *Server
 	conn   net.Conn
 	ver    int
 	binary bool
-	wmu    sync.Mutex
+
+	wmu     sync.Mutex
+	drained *sync.Cond    // signalled (on wmu) when the writer takes out
+	out     []byte        // encoded responses not yet taken by the writer
+	spare   []byte        // the writer's last flushed buffer, reused as out
+	stopped bool          // writer gone: appends are dropped
+	wake    chan struct{} // cap 1: out went non-empty, or stop was asked
+	done    chan struct{} // closed when the writer exits
 }
 
-func (st *connState) write(b []byte) error {
+// maxPendingOut is the most response bytes a connection buffers while its
+// writer is busy. A producer past it waits for the writer to take the
+// buffer, so a peer that stops reading stalls the connection's queue (and
+// from there its reader and TCP window) instead of growing the buffer.
+const maxPendingOut = 1 << 20
+
+// maxRetainedBuf caps the capacity of an idle buffer kept for reuse (pooled
+// frame buffers, a connection's flushed output buffer). One large getmail
+// frame must not pin its memory for the life of the process.
+const maxRetainedBuf = 64 << 10
+
+func newConnState(s *Server, conn net.Conn) *connState {
+	st := &connState{
+		srv:  s,
+		conn: conn,
+		ver:  1,
+		wake: make(chan struct{}, 1),
+		done: make(chan struct{}),
+	}
+	st.drained = sync.NewCond(&st.wmu)
+	go st.writer()
+	return st
+}
+
+// signal wakes the writer unless a wakeup is already pending. Callers hold
+// wmu, so a wakeup sent on the empty→non-empty transition of out can never
+// be lost: the writer empties out only under wmu, after taking a token.
+func (st *connState) signal() {
+	select {
+	case st.wake <- struct{}{}:
+	default:
+	}
+}
+
+// write appends one encoded response to out. enc encodes into the
+// buffer it is given and returns the extended buffer.
+func (st *connState) write(enc func([]byte) []byte) {
 	st.wmu.Lock()
 	defer st.wmu.Unlock()
-	_ = st.conn.SetWriteDeadline(time.Now().Add(writeStallTimeout))
-	n, err := st.conn.Write(b)
-	if n > 0 {
-		st.srv.bytesOut.Add(int64(n))
+	for len(st.out) >= maxPendingOut && !st.stopped {
+		st.drained.Wait()
 	}
-	if err != nil {
-		// A dead or stalled peer: close so the reader unblocks too.
-		_ = st.conn.Close()
+	if st.stopped {
+		return
 	}
-	return err
+	if len(st.out) == 0 {
+		st.signal()
+	}
+	st.out = enc(st.out)
+}
+
+// writer is the connection's only socket writer: per wakeup it takes every
+// buffered response and writes them in one call, bounded by
+// writeStallTimeout. A failed write closes the connection, which unblocks
+// the reader too. It exits after stop, having flushed what was buffered.
+func (st *connState) writer() {
+	defer close(st.done)
+	for range st.wake {
+		st.wmu.Lock()
+		buf := st.out
+		st.out, st.spare = st.spare, nil
+		stopping := st.stopped
+		st.drained.Broadcast()
+		st.wmu.Unlock()
+		if len(buf) > 0 {
+			_ = st.conn.SetWriteDeadline(time.Now().Add(st.srv.writeStall))
+			n, err := st.conn.Write(buf)
+			if n > 0 {
+				st.srv.bytesOut.Add(int64(n))
+			}
+			if err != nil {
+				st.wmu.Lock()
+				st.stopped = true
+				st.out, st.spare = nil, nil
+				st.drained.Broadcast()
+				st.wmu.Unlock()
+				_ = st.conn.Close()
+				return
+			}
+		}
+		st.wmu.Lock()
+		if cap(buf) <= maxRetainedBuf {
+			st.spare = buf[:0]
+		}
+		st.wmu.Unlock()
+		if stopping {
+			return
+		}
+	}
+}
+
+// stop flushes every response already buffered, stops the writer and waits
+// for it to exit. Later appends are dropped.
+func (st *connState) stop() {
+	st.wmu.Lock()
+	st.stopped = true
+	st.drained.Broadcast()
+	st.signal()
+	st.wmu.Unlock()
+	<-st.done
 }
 
 func (st *connState) writeText(resp Response) {
@@ -406,19 +514,18 @@ func (st *connState) writeText(resp Response) {
 	if err != nil {
 		b, _ = EncodeResponse(Response{Error: "response too large", Code: mailerr.Code(err)})
 	}
-	_ = st.write(b)
+	st.write(func(out []byte) []byte { return append(out, b...) })
 }
 
 func (st *connState) writeBinary(op byte, tag uint32, resp Response) {
-	bp := getFrameBuf()
-	frame, err := AppendBinaryResponse((*bp)[:0], op, tag, resp)
-	if err != nil {
-		frame, _ = AppendBinaryResponse((*bp)[:0], op, tag,
-			Response{Error: "response too large", Code: mailerr.Code(err)})
-	}
-	_ = st.write(frame)
-	*bp = frame
-	putFrameBuf(bp)
+	st.write(func(out []byte) []byte {
+		frame, err := AppendBinaryResponse(out, op, tag, resp)
+		if err != nil {
+			frame, _ = AppendBinaryResponse(out, op, tag,
+				Response{Error: "response too large", Code: mailerr.Code(err)})
+		}
+		return frame
+	})
 }
 
 func (st *connState) respond(bin bool, op byte, tag uint32, resp Response) {
@@ -449,14 +556,15 @@ func (cr countingReader) Read(p []byte) (int, error) {
 // connection's work queue, repeat. Execution and response writes happen on
 // the worker pool; a full queue blocks this loop, which stops reading the
 // socket — backpressure via the peer's TCP window.
-func (s *Server) handle(conn net.Conn) {
+func (s *Server) handle(st *connState) {
 	defer s.wg.Done()
-	st := &connState{srv: s, conn: conn, ver: 1}
+	conn := st.conn
 	q := s.pool.NewQueue(s.queueDepth)
 	cr := newConnReader(countingReader{r: conn, c: s.bytesIn})
 	framep := getFrameBuf()
 	defer func() {
 		q.Close()
+		st.stop()
 		putFrameBuf(framep)
 		cr.release()
 		s.mu.Lock()
